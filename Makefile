@@ -47,24 +47,21 @@ test-full:
 # equivalence matrix (BatchEngine vs sequential decode for every kernel,
 # and serving with batching ON vs the serial reference, including prefix
 # sharing and preemption churn) pinned to one core and to every core, the
-# speculation equivalence matrix (greedy and seeded draft-and-verify vs
-# the non-speculative reference, every kernel × dispatch mode × executor
-# width, dense and paged) on the same two core counts, the fleet
-# bit-exactness matrix (2- and 4-replica fleets with affinity routing vs a
-# single engine, every serving kernel) on the same two core counts, then the
-# steady-state allocation guards (attention + instrumentation + sampler
-# chain + batched decode + speculative pass) without -race (race
-# instrumentation skews alloc counts, so the guards skip themselves
-# there). The gate opens with the static analysis suite: formatting, vet,
+# fleet bit-exactness matrix (2- and 4-replica fleets with affinity routing
+# vs a single engine, every serving kernel) on the same two core counts,
+# then the steady-state allocation guards (attention + instrumentation +
+# decode over a growing context + sampler chain + batched decode) without
+# -race (race instrumentation skews alloc counts, so the guards skip
+# themselves there). The gate opens with the static analysis suite: formatting, vet,
 # topick-lint (noalloc/metrics/trace/err discipline + manifest drift).
 check: fmt-check vet lint build
 	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/spatten/ ./internal/exec/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/
 	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestPoolExecutorBitIdenticalToSerial|TestIncremental|TestPagedQuantSideCar|TestPrefixSharingLogitsBitExact|TestSharedQuant|TestSamplerGreedyEquivalence|TestSamplingDeterministicAcrossEngines' ./internal/bench/ ./internal/attention/ ./internal/serve/ ./internal/fixed/
 	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestPoolExecutorBitIdenticalToSerial|TestIncremental|TestPagedQuantSideCar|TestPrefixSharingLogitsBitExact|TestSharedQuant|TestSamplerGreedyEquivalence|TestSamplingDeterministicAcrossEngines' ./internal/bench/ ./internal/attention/ ./internal/serve/ ./internal/fixed/
 	TOPICK_QUICK=1 $(GO) test -race -count=1 -run 'TestParallelDecodeRace|TestHeadParallel|TestPreemptRequeueFinishes|TestSubmitCloseRace|TestMetricsReconcileUnderChurn|TestIterationBatchingSchedulerFairness' ./internal/bench/ ./internal/serve/
-	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestSpeculativeDecodeMatchesSequential|TestSpeculativeDecodeSeededBitExact|TestSpeculativeServingBitExact|TestSpeculativeServingSeededBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
-	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestSpeculativeDecodeMatchesSequential|TestSpeculativeDecodeSeededBitExact|TestSpeculativeServingBitExact|TestSpeculativeServingSeededBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
-	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestAttendSteadyStateZeroAllocs|TestSpeculativeDecodeSteadyStateZeroAllocs' ./internal/bench/
+	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
+	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
+	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestAttendSteadyStateZeroAllocs|TestDecodeGrowingContextZeroAllocs' ./internal/bench/
 	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineSteadyStateZeroAllocs' ./internal/model/
 	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestRecordPathsZeroAlloc' ./internal/obs/
 	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestSampleSteadyStateZeroAllocs' ./internal/sample/

@@ -56,10 +56,6 @@ type report struct {
 	// Batching is the high-concurrency iteration-batching arm: per-session
 	// worker dispatch vs cross-session token batching over the same fleet.
 	Batching *batchingRecord `json:"iteration_batching,omitempty"`
-	// Speculative is the draft-and-verify arm: the same greedy fleet with
-	// speculation off and once per draft source; every arm must emit the
-	// baseline's exact token streams.
-	Speculative *speculativeRecord `json:"speculative,omitempty"`
 	// Fleet is the replica-fleet serving arm: the same shared-system-prompt
 	// tenant traffic on one engine and on N replicas behind prefix-affinity
 	// routing; the streams must stay bit-identical.
@@ -96,14 +92,6 @@ type batchingRecord struct {
 	TokensMatch     bool    `json:"tokens_match"`
 }
 
-// speculativeRecord persists the speculative-decoding serving comparison.
-type speculativeRecord struct {
-	Sessions       int               `json:"sessions"`
-	K              int               `json:"speculate_k"`
-	BaselineTokSec float64           `json:"baseline_tokens_per_sec"`
-	Arms           []specDraftRecord `json:"drafts"`
-}
-
 // fleetRecord persists the replica-fleet serving comparison.
 type fleetRecord struct {
 	Replicas        int       `json:"replicas"`
@@ -122,16 +110,6 @@ type fleetRecord struct {
 	// count): on one core the fleet "speedup" honestly measures router and
 	// replication overhead, not parallel serving gain.
 	Warning string `json:"warning,omitempty"`
-}
-
-type specDraftRecord struct {
-	Draft          string  `json:"draft"`
-	TokSec         float64 `json:"tokens_per_sec"`
-	Speedup        float64 `json:"speedup"`
-	Drafted        int64   `json:"drafted_tokens"`
-	Accepted       int64   `json:"accepted_tokens"`
-	AcceptanceRate float64 `json:"acceptance_rate"`
-	TokensMatch    bool    `json:"tokens_match"`
 }
 
 // warningFor recomputes the single-CPU warning from the CURRENT run's core
@@ -312,34 +290,7 @@ func main() {
 			res.WorkerTokSec, res.BatchedTokSec, res.Occupancy, res.Iterations, res.TokensMatch)
 	}
 
-	// Arm 5: speculative decoding — the same greedy fleet without drafting
-	// and once per draft source; acceptance rate and throughput per arm, and
-	// every arm must reproduce the baseline token streams exactly.
-	if *serving {
-		fmt.Println("speculative arm: running fleet per draft source...")
-		res := bench.CompareSpeculative(train.TestModel(), bench.DefaultSpeculativeOptions())
-		rec := &speculativeRecord{
-			Sessions:       res.Sessions,
-			K:              res.K,
-			BaselineTokSec: res.BaselineTokSec,
-		}
-		for _, a := range res.Arms {
-			rec.Arms = append(rec.Arms, specDraftRecord{
-				Draft:          a.Draft,
-				TokSec:         a.TokSec,
-				Speedup:        a.Speedup,
-				Drafted:        a.Drafted,
-				Accepted:       a.Accepted,
-				AcceptanceRate: a.AcceptanceRate,
-				TokensMatch:    a.TokensMatch,
-			})
-			fmt.Printf("speculative: draft=%-8s %.1f tok/s (%.2fx), acceptance %.0f%% (%d/%d), tokens match %v\n",
-				a.Draft, a.TokSec, a.Speedup, 100*a.AcceptanceRate, a.Accepted, a.Drafted, a.TokensMatch)
-		}
-		rep.Speculative = rec
-	}
-
-	// Arm 6: replica fleet — the same tenant traffic on one engine and on a
+	// Arm 5: replica fleet — the same tenant traffic on one engine and on a
 	// fleet with prefix-affinity routing; aggregate throughput, the router's
 	// decision mix, per-replica hit rates, and bit-exactness.
 	if *serving {

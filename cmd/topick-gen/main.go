@@ -26,8 +26,6 @@ func main() {
 		seed      = flag.Int64("seed", 7, "sampling seed (with -temperature > 0)")
 		topK      = flag.Int("top-k", 0, "keep only the K most likely tokens (0 = off)")
 		topP      = flag.Float64("top-p", 0, "nucleus sampling mass (0 = off)")
-		specK     = flag.Int("speculate-k", 0, "speculative decoding draft window (0 = off; output is bit-identical either way)")
-		draftSrc  = flag.String("draft", "ngram", "draft source with -speculate-k: ngram (prompt lookup) or decoder (pruned draft model)")
 	)
 	flag.Parse()
 
@@ -74,22 +72,18 @@ func main() {
 	fmt.Printf("prompt tokens: %v\n", prompt[len(prompt)-16:])
 	fmt.Printf("generated    : ")
 	tok := sampler.Sample(logits, history)
-	if *specK > 0 {
-		speculate(res, dec, k, sampler, &history, tok, *nTokens, *specK, *draftSrc, *threshold)
-	} else {
-		for i := 0; i < *nTokens; i++ {
-			fmt.Printf("%d ", tok)
-			history = append(history, tok)
-			logits, err = dec.Step(tok)
-			if err != nil {
-				// ErrContextFull: the window is exhausted; stop cleanly.
-				fmt.Printf("\n(stopped early: %v)", err)
-				break
-			}
-			tok = sampler.Sample(logits, history)
+	for i := 0; i < *nTokens; i++ {
+		fmt.Printf("%d ", tok)
+		history = append(history, tok)
+		logits, err = dec.Step(tok)
+		if err != nil {
+			// ErrContextFull: the window is exhausted; stop cleanly.
+			fmt.Printf("\n(stopped early: %v)", err)
+			break
 		}
-		fmt.Println()
+		tok = sampler.Sample(logits, history)
 	}
+	fmt.Println()
 
 	if tp != nil {
 		st := tp.Stats()
@@ -101,59 +95,4 @@ func main() {
 		fmt.Printf("  K+V total reduction : %.2fx\n", st.TotalReduction())
 		fmt.Printf("  chunk fetches       : %v\n", st.ChunkFetches)
 	}
-}
-
-// genEmitter adapts the CLI's print-and-append loop to the speculative
-// decoder's per-token callback; the sampler consumes RNG once per emitted
-// token, exactly as the plain loop does, so the stream is bit-identical.
-type genEmitter struct {
-	sampler *tokenpicker.SamplerChain
-	history *[]int
-	limit   int // total tokens to print (including the first, pre-spec one)
-	printed int
-}
-
-func (e *genEmitter) Emit(logits []float32) (int, bool) {
-	tok := e.sampler.Sample(logits, *e.history)
-	fmt.Printf("%d ", tok)
-	*e.history = append(*e.history, tok)
-	e.printed++
-	return tok, e.printed >= e.limit
-}
-
-// speculate drives draft-and-verify generation: each pass advances the
-// pending token plus up to specK draft tokens through one batched engine
-// step and keeps the longest accepted prefix. first is the token already
-// sampled from the prompt logits.
-func speculate(res *tokenpicker.TrainResult, dec *tokenpicker.Decoder, k tokenpicker.Kernel,
-	sampler *tokenpicker.SamplerChain, history *[]int, first, nTokens, specK int, draftSrc string, threshold float64) {
-	var draft tokenpicker.DraftSource
-	switch draftSrc {
-	case "ngram":
-		draft = &tokenpicker.NgramDraft{}
-	case "decoder":
-		// The draft model is the same weights under aggressively pruned
-		// attention: cheap proposals, exact verification.
-		draft = &tokenpicker.DecoderDraft{Dec: tokenpicker.NewDecoder(res.Params, tokenpicker.NewKernel(threshold*100))}
-	default:
-		log.Fatalf("unknown draft source %q", draftSrc)
-	}
-	sd := tokenpicker.NewSpecDecoder(dec, draft, specK)
-	eng := tokenpicker.NewBatchEngine(res.Params)
-	em := &genEmitter{sampler: sampler, history: history, limit: nTokens}
-
-	fmt.Printf("%d ", first)
-	*history = append(*history, first)
-	em.printed = 1
-	for em.printed < nTokens {
-		if _, err := sd.Step(eng, k, nil, *history, nTokens-em.printed-1, em); err != nil {
-			// ErrContextFull: the window is exhausted; stop cleanly.
-			fmt.Printf("\n(stopped early: %v)", err)
-			break
-		}
-	}
-	fmt.Println()
-	st := sd.Stats()
-	fmt.Printf("\nspeculation (k=%d, draft=%s): %d drafted, %d accepted (%.0f%% acceptance), %d verify passes\n",
-		specK, draftSrc, st.Drafted, st.Accepted, 100*st.AcceptanceRate(), st.Passes)
 }

@@ -69,7 +69,6 @@ func main() {
 		share     = flag.Bool("share-prefix", true, "share cached prompt-prefix KV blocks across sessions")
 		maxBlocks = flag.Int("max-blocks", 0, "KV pool block budget (0 = unbounded; exhaustion preempts sessions)")
 		preempts  = flag.Int("max-preempts", 0, "per-session preemption budget (0 = default, negative = reject on exhaustion)")
-		specK     = flag.Int("speculate-k", 0, "speculative decoding draft window: verify up to K prompt-lookup draft tokens per engine pass (0 = off; output is bit-identical either way)")
 		replicas  = flag.Int("replicas", 1, "engine replicas behind a prefix-affinity router (>1 = fleet mode; token streams stay bit-identical to -replicas 1)")
 		affinity  = flag.Bool("affinity", true, "with -replicas >1, route by rendezvous hash of the leading prompt chunks so shared prefixes stay replica-local (false = least-loaded only)")
 		listen    = flag.String("listen", "", "serve the HTTP API on this address (e.g. :8080) instead of the offline demo")
@@ -131,7 +130,6 @@ func main() {
 		MaxBlocks:      *maxBlocks,
 		SharePrefix:    *share,
 		MaxPreempts:    *preempts,
-		Speculate:      tokenpicker.SpeculateConfig{K: *specK},
 		HeadParallel:   tokenpicker.ResolveParallel(*parallel),
 		Tracer:         tracer,
 		Detokenize:     detok,
@@ -169,8 +167,7 @@ func main() {
 		sessions: *sessions, workers: *workers, maxNew: *maxNew,
 		promptLen: *promptLen, stride: *stride, threshold: *threshold,
 		blockRows: *blockRows, parallel: *parallel, quantum: *quantum,
-		specK: *specK,
-		temp:  *temp, deadline: *deadline, compare: *compare, share: *share,
+		temp: *temp, deadline: *deadline, compare: *compare, share: *share,
 	})
 	flushTrace()
 }
@@ -191,7 +188,7 @@ func serveHTTP(srv *tokenpicker.Server, addr string, pprofOn bool, drainGrace ti
 		srv.Close()
 		rep := srv.Report()
 		fmt.Printf("served %d sessions (%d prompt + %d generated tokens), pruning %.2fx\n",
-			rep.Admitted, rep.PromptTokens, rep.GenTokens, rep.Attn.PruningRatio())
+			rep.Admitted, rep.PromptTokens, srv.Metrics().Generated.Value(), rep.Attn.PruningRatio())
 	})
 }
 
@@ -207,8 +204,12 @@ func serveFleetHTTP(fl *tokenpicker.Fleet, addr string, pprofOn bool, drainGrace
 		fl.Close()
 		rep := fl.Report()
 		roll := rep.Rollup()
+		var generated int64
+		for i := 0; i < fl.Replicas(); i++ {
+			generated += fl.Replica(i).Metrics().Generated.Value()
+		}
 		fmt.Printf("served %d sessions across %d replicas (%d prompt + %d generated tokens)\n",
-			roll.Admitted, fl.Replicas(), roll.PromptTokens, roll.GenTokens)
+			roll.Admitted, fl.Replicas(), roll.PromptTokens, generated)
 		fmt.Printf("routing: %d affinity, %d spilled, %d balanced, %d rate-limited, %d rejected\n",
 			rep.Routing.Affinity, rep.Routing.Spilled, rep.Routing.Balanced,
 			rep.Routing.RateLimited, rep.Routing.Rejected)
@@ -264,7 +265,7 @@ func runHTTP(handler *tokenpicker.HTTPHandler, addr string, pprofOn bool, drainG
 
 type offlineOptions struct {
 	sessions, workers, maxNew, promptLen, stride int
-	blockRows, parallel, quantum, specK          int
+	blockRows, parallel, quantum                 int
 	threshold, temp                              float64
 	deadline                                     time.Duration
 	compare, share                               bool
@@ -355,16 +356,6 @@ func offlineDemo(res *tokenpicker.TrainResult, srv *tokenpicker.Server, o offlin
 	if rep.Preempted > 0 {
 		fmt.Printf("  preemptions          : %d (re-computed %d generated tokens)\n",
 			rep.Preempted, rep.RecomputeTokens)
-	}
-	if o.specK > 0 {
-		m := srv.Metrics()
-		drafted, accepted := m.SpecDrafted.Value(), m.SpecAccepted.Value()
-		rate := 0.0
-		if drafted > 0 {
-			rate = float64(accepted) / float64(drafted)
-		}
-		fmt.Printf("  speculation (k=%d)    : %d drafted, %d accepted (%.0f%%), %d verify passes\n",
-			o.specK, drafted, accepted, 100*rate, m.SpecVerifies.Value())
 	}
 	eager := int64(o.sessions) * int64(cfg.MaxSeq) * int64(cfg.Layers*cfg.Heads*2)
 	fmt.Printf("  vs eager allocation  : %d rows backed instead of %d (%.1fx less)\n",

@@ -83,25 +83,6 @@ func (s *Stats) TotalReduction() float64 {
 	return float64(s.BaselineKBytes+s.BaselineVBytes) / float64(moved)
 }
 
-// growScratch returns scratch with at least n elements, padding capacity to
-// the next power of two (min 64) so per-step context growth reallocates
-// O(log n) times instead of every decode step.
-//
-//topick:alloc-ok amortized power-of-two growth; steady-state calls reuse capacity
-func growScratch(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	c := cap(buf)
-	if c < 64 {
-		c = 64
-	}
-	for c < n {
-		c *= 2
-	}
-	return make([]float32, c)[:n]
-}
-
 // quantScratch holds one slot's quantization state shared by every kernel
 // in this package: a quantized-query buffer and two fallback QuantCaches
 // for row sources that do not carry their own side-car. When the source
@@ -233,7 +214,7 @@ func (k *TokenPicker) attendTask(b *model.AttendBatch, t, slot int) {
 	cspec := s.est.Config().Chunks
 	kRows, kPlanes, kScale := s.qs.chunkedKeys(keys, n, dim, cspec)
 	qq := s.qs.query(q, k.Bits)
-	s.qs.bias = growScratch(s.qs.bias, n)
+	s.qs.bias = tensor.Grow(s.qs.bias, n)
 	for i := 0; i < n; i++ {
 		s.qs.bias[i] = -slope * float32(n-1-i)
 	}
@@ -349,8 +330,8 @@ func (k *QuantizedExact) attendTask(b *model.AttendBatch, t, slot int) {
 	keys, vals := b.Keys[t], b.Vals[t]
 	n, dim := b.TaskN(t), b.HeadDim
 	slope := b.TaskSlope(t)
-	s.scores = growScratch(s.scores, n)
-	s.probs = growScratch(s.probs, n)
+	s.scores = tensor.Grow(s.scores, n)
+	s.probs = tensor.Grow(s.probs, n)
 	scores := s.scores
 	probs := s.probs
 	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
@@ -446,8 +427,8 @@ func (k *Oracle) attendTask(b *model.AttendBatch, t, slot int) {
 	keys, vals := b.Keys[t], b.Vals[t]
 	n, dim := b.TaskN(t), b.HeadDim
 	slope := b.TaskSlope(t)
-	s.scores = growScratch(s.scores, n)
-	s.probs = growScratch(s.probs, n)
+	s.scores = tensor.Grow(s.scores, n)
+	s.probs = tensor.Grow(s.probs, n)
 	scores := s.scores
 	probs := s.probs
 	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
@@ -459,7 +440,7 @@ func (k *Oracle) attendTask(b *model.AttendBatch, t, slot int) {
 	}
 	tensor.Softmax(probs, scores)
 
-	keptIdx := s.keptIdx[:0]
+	keptIdx := tensor.Grow(s.keptIdx, n)[:0]
 	var keptMass float64
 	for i := 0; i < n; i++ {
 		if float64(probs[i]) > k.Threshold {

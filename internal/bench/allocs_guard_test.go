@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -120,5 +121,75 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, instrumented); allocs != 0 {
 		t.Errorf("instrumented decode step allocates %g times per call", allocs)
+	}
+}
+
+// TestDecodeGrowingContextZeroAllocs guards the workload decoding actually
+// runs: Decoder.Step over a context that grows by one row every step. Every
+// buffer sized by the context length grows to power-of-two capacities
+// (tensor.Grow), so a window of steps that crosses no power-of-two row count
+// allocates nothing. Exact-size regrowth would allocate on every step, which
+// TestAttendSteadyStateZeroAllocs cannot see: its context is fixed.
+func TestDecodeGrowingContextZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by race instrumentation")
+	}
+	const (
+		promptLen = 96
+		warmTo    = 140 // past every buffer's regrowth at 128 rows
+		steps     = 100 // ends at 241 rows, below the next regrowth at 256
+		attempts  = 3
+	)
+	cfg := model.TestConfig()
+	params := model.NewParams(cfg, 31)
+	prompt := make([]int, promptLen)
+	for i := range prompt {
+		prompt[i] = (i * 13) % cfg.VocabSize
+	}
+	pool := exec.NewPool(2)
+	defer pool.Close()
+	executors := []struct {
+		name string
+		ex   exec.Executor
+	}{
+		{"serial", exec.Serial{}},
+		{"pool", pool},
+	}
+	// window counts every allocation of steps Decoder.Steps past warmTo rows
+	// on a fresh decoder. testing.AllocsPerRun would round an occasional
+	// regrowth down to zero per step, so the count is exact; like
+	// AllocsPerRun it runs on one P after one warm-up call.
+	window := func(name string, ex exec.Executor) uint64 {
+		dec := model.NewDecoder(params, newDecodeKernel(name, cfg))
+		dec.Exec = ex
+		dec.MustPrompt(prompt)
+		step := func() { dec.MustStep((dec.Len() * 7) % cfg.VocabSize) }
+		for dec.Len() < warmTo {
+			step()
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		step()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < steps; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, et := range executors {
+		for _, name := range DecodeKernels() {
+			// The runtime fills its type-assertion caches on a random draw,
+			// so a window may catch one such allocation; scratch regrowth is
+			// deterministic and shows in every attempt.
+			fewest := uint64(math.MaxUint64)
+			for a := 0; a < attempts && fewest > 0; a++ {
+				fewest = min(fewest, window(name, et.ex))
+			}
+			if fewest != 0 {
+				t.Errorf("%s/%s: %d Decoder.Steps over a growing context allocate %d times (fewest of %d attempts)",
+					et.name, name, steps, fewest, attempts)
+			}
+		}
 	}
 }

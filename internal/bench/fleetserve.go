@@ -140,7 +140,6 @@ func CompareFleetServing(r *train.Result, o FleetServingOptions) FleetServingRes
 		return single.Submit(context.Background(), req(i))
 	})
 	single.Close()
-	sRep := single.Report()
 
 	fl := fleet.NewFleet(r.Params, fleet.Config{
 		Replicas: o.Replicas,
@@ -171,7 +170,15 @@ func CompareFleetServing(r *train.Result, o FleetServingOptions) FleetServingRes
 	for i, rep := range fRep.Replicas {
 		hitRates[i] = rep.Prefix.HitRate()
 	}
-	genToks := float64(sRep.GenTokens)
+	// Throughput counts emitted tokens. Report.GenTokens counts decode
+	// steps, one fewer per session: each first token comes from prefill.
+	emitted := func(toks [][]int) float64 {
+		n := 0
+		for _, t := range toks {
+			n += len(t)
+		}
+		return float64(n)
+	}
 	res := FleetServingResult{
 		Replicas:    o.Replicas,
 		Sessions:    o.Sessions,
@@ -183,10 +190,10 @@ func CompareFleetServing(r *train.Result, o FleetServingOptions) FleetServingRes
 		TokensMatch: match,
 	}
 	if sWall > 0 {
-		res.SingleTokS = genToks / sWall
+		res.SingleTokS = emitted(sToks) / sWall
 	}
 	if fWall > 0 {
-		res.FleetTokS = float64(fRep.Rollup().GenTokens) / fWall
+		res.FleetTokS = emitted(fToks) / fWall
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"testing"
 
 	"tokenpicker/internal/train"
@@ -33,6 +34,15 @@ func TestCompareFleetServing(t *testing.T) {
 	}
 	if res.SingleTokS <= 0 || res.FleetTokS <= 0 {
 		t.Fatalf("throughput not measured: single %.1f fleet %.1f tok/s", res.SingleTokS, res.FleetTokS)
+	}
+	// Throughput is emitted tokens per second: every session emits MaxNew
+	// tokens, the first from prefill and the rest from decode steps.
+	emitted := float64(o.Sessions * o.MaxNew)
+	if got := math.Round(res.SingleTokS * res.SingleSec); got != emitted {
+		t.Fatalf("single-engine tok/s x wall = %.0f tokens, want %.0f emitted", got, emitted)
+	}
+	if got := math.Round(res.FleetTokS * res.FleetSec); got != emitted {
+		t.Fatalf("fleet tok/s x wall = %.0f tokens, want %.0f emitted", got, emitted)
 	}
 	// Rendering must not panic and must carry the bit-exactness verdict.
 	if tbl := FleetServingTable(res).String(); tbl == "" {

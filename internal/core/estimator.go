@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tokenpicker/internal/fixed"
+	"tokenpicker/internal/tensor"
 )
 
 // Inputs is one attention instance presented to the estimator. All keys
@@ -131,14 +132,8 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 	numChunks := cs.NumChunks()
 	rep.N = n
 	rep.Kept = rep.Kept[:0]
-	if cap(rep.PrunedAtChunk) < n {
-		rep.PrunedAtChunk = make([]int8, n)
-	}
-	rep.PrunedAtChunk = rep.PrunedAtChunk[:n]
-	if cap(rep.Scores) < n {
-		rep.Scores = make([]float64, n)
-	}
-	rep.Scores = rep.Scores[:n]
+	rep.PrunedAtChunk = tensor.Grow(rep.PrunedAtChunk, n)
+	rep.Scores = tensor.Grow(rep.Scores, n)
 	if cap(rep.ChunkFetches) < numChunks {
 		rep.ChunkFetches = make([]int64, numChunks)
 	}
@@ -195,17 +190,12 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 }
 
 func (e *Estimator) ensureScratch(n int) {
-	if cap(e.partial) < n {
-		e.partial = make([]int64, n)
-		e.expMin = make([]float64, n)
-		e.fxExp = make([]uint64, n)
-		e.order = make([]int, 0, n)
-		e.active = make([]int, 0, n)
-		e.next = make([]int, 0, n)
-	}
-	e.partial = e.partial[:n]
-	e.expMin = e.expMin[:n]
-	e.fxExp = e.fxExp[:n]
+	e.partial = tensor.Grow(e.partial, n)
+	e.expMin = tensor.Grow(e.expMin, n)
+	e.fxExp = tensor.Grow(e.fxExp, n)
+	e.order = tensor.Grow(e.order, n)[:0]
+	e.active = tensor.Grow(e.active, n)[:0]
+	e.next = tensor.Grow(e.next, n)[:0]
 }
 
 // buildOrder fills e.order according to the policy.

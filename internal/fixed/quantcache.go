@@ -160,41 +160,21 @@ func (qc *QuantCache) Sync(src tensor.RowSource, n, dim int, bits uint) ([]Vecto
 	// simply unused while the shared segment serves them — so an epoch bump
 	// can land every row in its natural slot without re-packing.
 	if cap(qc.back) < n*dim {
-		c := cap(qc.back)
-		if c < 64*dim {
-			c = 64 * dim
-		}
-		for c < n*dim {
-			c *= 2
-		}
-		grown := make([]int16, c)
-		copy(grown, qc.back)
-		qc.back = grown
+		qc.back = tensor.Grow(qc.back, n*dim)
 		// Private row headers point into the old backing; re-point them.
 		// Shared headers keep pointing into the snapshot.
 		for i := qc.shared; i < len(qc.rows); i++ {
-			qc.rows[i] = grown[i*dim : (i+1)*dim]
+			qc.rows[i] = qc.back[i*dim : (i+1)*dim]
 		}
 	}
 	qc.back = qc.back[:cap(qc.back)]
-	for len(qc.rows) < n {
-		i := len(qc.rows)
-		qc.rows = append(qc.rows, qc.back[i*dim:(i+1)*dim])
-	}
-
-	if cap(qc.rowMax) < n {
-		c := cap(qc.rowMax)
-		if c < 64 {
-			c = 64
+	if old := len(qc.rows); old < n {
+		qc.rows = tensor.Grow(qc.rows, n)
+		for i := old; i < n; i++ {
+			qc.rows[i] = qc.back[i*dim : (i+1)*dim]
 		}
-		for c < n {
-			c *= 2
-		}
-		grown := make([]float32, c)
-		copy(grown, qc.rowMax)
-		qc.rowMax = grown
 	}
-	qc.rowMax = qc.rowMax[:n]
+	qc.rowMax = tensor.Grow(qc.rowMax, n)
 
 	start := qc.n
 	newMax := qc.maxMag
@@ -230,9 +210,11 @@ func (qc *QuantCache) Sync(src tensor.RowSource, n, dim int, bits uint) ([]Vecto
 }
 
 // Truncate discards memoized rows [n, Len()) so the memo matches a source
-// rolled back to n rows (speculative-decoding rejection). The kept rows were
-// quantized at the shared scale derived from the running max magnitude, so
-// the memo stays valid only when the kept rows alone reproduce that scale.
+// rewound to n rows: a decoder returning to a shared prefix, such as a
+// common system prompt, before decoding its next continuation. The kept
+// rows were quantized at the shared scale derived from the running max
+// magnitude, so the memo stays valid only when the kept rows alone
+// reproduce that scale.
 // When the truncated rows held the max, or when the cut lands inside a
 // seeded shared prefix (whose per-row maxima were never recorded), the memo
 // is discarded instead and the next Sync rebuilds from scratch — correct,

@@ -9,8 +9,9 @@ import (
 
 // TestQuantCacheTruncateKeepsMemoBelowMax pins the cheap rollback path: when
 // the truncated tail never held the running max, the kept rows reproduce the
-// shared scale exactly, so a speculative rejection followed by the corrected
-// continuation re-quantizes only the new rows — zero extra scale epochs.
+// shared scale exactly, so rewinding to a shared prefix and decoding a
+// different continuation re-quantizes only the new rows — zero extra scale
+// epochs.
 func TestQuantCacheTruncateKeepsMemoBelowMax(t *testing.T) {
 	const dim, bits = 8, 12
 	rng := rand.New(rand.NewSource(23))

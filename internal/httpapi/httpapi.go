@@ -202,11 +202,6 @@ type usage struct {
 	TotalTokens      int `json:"total_tokens"`
 	PrefixHitRows    int `json:"prefix_hit_rows"`
 	RecomputeTokens  int `json:"recompute_tokens"`
-	// Speculative-decoding accounting: drafted tokens submitted for
-	// verification on this request's behalf and how many were accepted.
-	// Both zero when the server runs without -speculate-k.
-	DraftedTokens       int `json:"drafted_tokens"`
-	AcceptedDraftTokens int `json:"accepted_draft_tokens"`
 }
 
 type apiError struct {
@@ -427,13 +422,11 @@ func (h *Handler) response(id string, res serve.Result) completionResponse {
 		Created: time.Now().Unix(),
 		Model:   h.opts.Model,
 		Usage: &usage{
-			PromptTokens:        res.Usage.PromptTokens,
-			CompletionTokens:    res.Usage.GeneratedTokens,
-			TotalTokens:         res.Usage.TotalTokens(),
-			PrefixHitRows:       res.Usage.PrefixHitRows,
-			RecomputeTokens:     res.Usage.RecomputeTokens,
-			DraftedTokens:       res.Usage.DraftedTokens,
-			AcceptedDraftTokens: res.Usage.AcceptedDraftTokens,
+			PromptTokens:     res.Usage.PromptTokens,
+			CompletionTokens: res.Usage.GeneratedTokens,
+			TotalTokens:      res.Usage.TotalTokens(),
+			PrefixHitRows:    res.Usage.PrefixHitRows,
+			RecomputeTokens:  res.Usage.RecomputeTokens,
 		},
 	}
 }

@@ -31,25 +31,10 @@ type BatchEntry struct {
 	// prompt). Rows that skip it also skip the final layer norm and the
 	// vocabulary projection — the largest matmul of the step.
 	NeedLogits bool
-	// Verify marks a speculative-verification entry: a generation-phase
-	// entry whose Tokens are the session's pending token followed by drafted
-	// continuation tokens, all advanced in one pass. Unlike plain decode
-	// entries it may carry several tokens, and with NeedLogits set the
-	// engine exposes every position's next-token logits through LogitsAll so
-	// the caller can apply the longest-accepted-prefix rule and roll the
-	// decoder back past the rejection point. Verify entries are decode-phase
-	// (they use the generation kernel) and cannot be Prefill.
-	Verify bool
 
 	// Logits is the output when NeedLogits was set: a view into engine-owned
-	// storage, valid until the next Step. Nil when Err is set. For a Verify
-	// entry this is the final position's row (the bonus-token logits).
+	// storage, valid until the next Step. Nil when Err is set.
 	Logits []float32
-	// LogitsAll is the Verify-entry output when NeedLogits was set: the
-	// next-token logits of every position, len(Tokens) rows of VocabSize
-	// flattened row-major (row i answers "what follows Tokens[0..i]?"). A
-	// view into engine-owned storage, valid until the next Step.
-	LogitsAll []float32
 	// Err reports a per-entry storage failure (ErrContextFull, or a pool
 	// allocation error): the entry consumed nothing and took no part in the
 	// step, while the rest of the batch proceeded. The caller retries,
@@ -86,12 +71,6 @@ type BatchEngine struct {
 	// Per-layer attention views, refilled each layer without allocating.
 	ns         []int
 	keys, vals []tensor.RowSource
-
-	// Row-group scheduling for multi-token (verify) entries: one run length
-	// per decode entry, handed to the generation-phase AttendBatch only when
-	// some entry carries more than one row (see AttendBatch.Groups).
-	groups   []int
-	groupRun groupedTasks
 }
 
 // batchRow is one query row of the current step.
@@ -111,15 +90,6 @@ func NewBatchEngine(p *Params) *BatchEngine {
 	return e
 }
 
-// grow returns buf resized to n elements, reallocating only when capacity is
-// exhausted so steady-state steps stay allocation-free.
-func grow(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
-	}
-	return buf[:n]
-}
-
 // Step advances every entry by its tokens in one batched iteration. gen is
 // the generation-phase attention kernel shared by all decode rows (nil means
 // exact); prefill rows always use exact attention. ex schedules the
@@ -135,7 +105,7 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	sawPrefill := false
 	for i := range entries {
 		ent := &entries[i]
-		ent.Logits, ent.LogitsAll, ent.Err = nil, nil, nil
+		ent.Logits, ent.Err = nil, nil
 		if ent.Dec == nil || len(ent.Tokens) == 0 {
 			panic("model: batch entry needs a decoder and at least one token")
 		}
@@ -143,15 +113,12 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			panic("model: batch entry decoder built from different params")
 		}
 		if ent.Prefill {
-			if ent.Verify {
-				panic("model: a verify entry cannot be prefill")
-			}
 			sawPrefill = true
 		} else {
 			if sawPrefill {
 				panic("model: decode entries must precede prefill entries")
 			}
-			if len(ent.Tokens) != 1 && !ent.Verify {
+			if len(ent.Tokens) != 1 {
 				panic(fmt.Sprintf("model: decode entry carries %d tokens, want 1", len(ent.Tokens)))
 			}
 		}
@@ -174,7 +141,7 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			e.rows = append(e.rows, batchRow{entry: i, pos: n + j, token: t})
 		}
 		if !ent.Prefill {
-			decodeRows += len(ent.Tokens)
+			decodeRows++
 		}
 	}
 	R := len(e.rows)
@@ -186,18 +153,15 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	hd := cfg.HeadDim
 	H := cfg.Heads
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	e.x = grow(e.x, R*d)
-	e.h = grow(e.h, R*d)
-	e.q = grow(e.q, R*d)
-	e.attnOut = grow(e.attnOut, R*d)
-	e.tmp = grow(e.tmp, R*d)
-	e.ffnH = grow(e.ffnH, R*cfg.FFNDim())
-	if cap(e.ns) < R {
-		e.ns = make([]int, R)
-		e.keys = make([]tensor.RowSource, R*H)
-		e.vals = make([]tensor.RowSource, R*H)
-	}
-	e.ns = e.ns[:R]
+	e.x = tensor.Grow(e.x, R*d)
+	e.h = tensor.Grow(e.h, R*d)
+	e.q = tensor.Grow(e.q, R*d)
+	e.attnOut = tensor.Grow(e.attnOut, R*d)
+	e.tmp = tensor.Grow(e.tmp, R*d)
+	e.ffnH = tensor.Grow(e.ffnH, R*cfg.FFNDim())
+	e.ns = tensor.Grow(e.ns, R)
+	e.keys = tensor.Grow(e.keys, R*H)
+	e.vals = tensor.Grow(e.vals, R*H)
 
 	for r, row := range e.rows {
 		copy(e.x[r*d:(r+1)*d], e.p.TokEmb.Row(row.token))
@@ -206,28 +170,6 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	genKernel := gen
 	if genKernel == nil {
 		genKernel = &e.exact
-	}
-
-	// Multi-token verify entries put several rows of one session — one KV
-	// cache, one quantized side-car — into the generation-phase batch; group
-	// those rows so same-head tasks of one session never run concurrently.
-	// With no such entry (the common case) groups stays nil and scheduling
-	// is exactly the per-(row, head) layout of plain iteration batching.
-	e.groups = e.groups[:0]
-	grouped := false
-	for i := range entries {
-		ent := &entries[i]
-		if ent.Prefill || ent.Err != nil {
-			continue
-		}
-		e.groups = append(e.groups, len(ent.Tokens))
-		if len(ent.Tokens) > 1 {
-			grouped = true
-		}
-	}
-	var groups []int
-	if grouped {
-		groups = e.groups
 	}
 
 	for l, b := range e.p.Blocks {
@@ -258,8 +200,8 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			copy(e.keys[r*H:(r+1)*H], entries[row.entry].Dec.keySrc[l])
 			copy(e.vals[r*H:(r+1)*H], entries[row.entry].Dec.valSrc[l])
 		}
-		e.attend(l, 0, decodeRows, scale, genKernel, ex, groups)
-		e.attend(l, decodeRows, R, scale, &e.exact, ex, nil)
+		e.attend(l, 0, decodeRows, scale, genKernel, ex)
+		e.attend(l, decodeRows, R, scale, &e.exact, ex)
 		tensor.MatVecRows(e.tmp, b.Wo, e.attnOut, R)
 		for r := 0; r < R; r++ {
 			tensor.Add(e.tmp[r*d:(r+1)*d], e.tmp[r*d:(r+1)*d], b.Bo)
@@ -289,35 +231,19 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	needed := 0
 	for i := range entries {
 		if entries[i].Err == nil && entries[i].NeedLogits {
-			if entries[i].Verify {
-				needed += len(entries[i].Tokens)
-			} else {
-				needed++
-			}
+			needed++
 		}
 	}
-	e.logits = grow(e.logits, needed*V)
+	e.logits = tensor.Grow(e.logits, needed*V)
 	out := 0
 	for r, row := range e.rows {
 		ent := &entries[row.entry]
-		if !ent.NeedLogits {
-			continue
-		}
-		if !ent.Verify && row.pos != ent.Dec.n+len(ent.Tokens)-1 {
+		if !ent.NeedLogits || row.pos != ent.Dec.n+len(ent.Tokens)-1 {
 			continue
 		}
 		tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], e.p.LnFG, e.p.LnFB, cfg.Eps)
-		lg := e.logits[out*V : (out+1)*V]
-		tensor.MatVec(lg, e.p.TokEmb, e.h[r*d:(r+1)*d])
-		ent.Logits = lg
-		if ent.Verify {
-			// An entry's rows are consecutive in row order, so its logits
-			// rows land contiguously; extend the flat view one row at a time.
-			if row.pos == ent.Dec.n {
-				ent.LogitsAll = e.logits[out*V : out*V]
-			}
-			ent.LogitsAll = ent.LogitsAll[:len(ent.LogitsAll)+V]
-		}
+		ent.Logits = e.logits[out*V : (out+1)*V]
+		tensor.MatVec(ent.Logits, e.p.TokEmb, e.h[r*d:(r+1)*d])
 		out++
 	}
 
@@ -329,26 +255,24 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 }
 
 // attend submits rows [lo, hi) as one multi-row AttendBatch through kernel.
-func (e *BatchEngine) attend(layer, lo, hi int, scale float32, kernel Kernel, ex exec.Executor, groups []int) {
+func (e *BatchEngine) attend(layer, lo, hi int, scale float32, kernel Kernel, ex exec.Executor) {
 	if hi <= lo {
 		return
 	}
 	cfg := e.p.Cfg
 	d := cfg.DModel()
 	kernel.AttendLayer(AttendBatch{
-		Layer:    layer,
-		Rows:     hi - lo,
-		Ns:       e.ns[lo:hi],
-		Heads:    cfg.Heads,
-		HeadDim:  cfg.HeadDim,
-		Scale:    scale,
-		Slopes:   e.slopes,
-		Q:        e.q[lo*d : hi*d],
-		Out:      e.attnOut[lo*d : hi*d],
-		Keys:     e.keys[lo*cfg.Heads : hi*cfg.Heads],
-		Vals:     e.vals[lo*cfg.Heads : hi*cfg.Heads],
-		Exec:     ex,
-		Groups:   groups,
-		groupRun: &e.groupRun,
+		Layer:   layer,
+		Rows:    hi - lo,
+		Ns:      e.ns[lo:hi],
+		Heads:   cfg.Heads,
+		HeadDim: cfg.HeadDim,
+		Scale:   scale,
+		Slopes:  e.slopes,
+		Q:       e.q[lo*d : hi*d],
+		Out:     e.attnOut[lo*d : hi*d],
+		Keys:    e.keys[lo*cfg.Heads : hi*cfg.Heads],
+		Vals:    e.vals[lo*cfg.Heads : hi*cfg.Heads],
+		Exec:    ex,
 	})
 }

@@ -48,22 +48,6 @@ type AttendBatch struct {
 	// Exec schedules the tasks; nil means serial. Kernels must route every
 	// task through Run so the executor choice is honoured.
 	Exec exec.Executor
-	// Groups, when non-nil, partitions the rows into consecutive runs that
-	// share mutable per-(layer, head) cache state: group g spans Groups[g]
-	// consecutive rows (the sum over Groups is Rows). The speculative-verify
-	// path puts several positions of ONE session in one batch; those rows
-	// share KV caches and quantized side-cars, so their same-head tasks must
-	// not run concurrently. Run then schedules group×head super-tasks —
-	// same-group same-head rows execute sequentially in ascending row order
-	// on one slot; everything else still parallelizes. Task indexing and
-	// kernel outputs are unchanged: quantized side-car syncs are
-	// path-independent (the shared scale depends only on the running max),
-	// so grouped execution stays bit-identical to the serial reference.
-	Groups []int
-	// groupRun is the caller-provided scratch for grouped scheduling (the
-	// serving engine presets it so steady-state verify steps allocate
-	// nothing); Run lazily allocates one when Groups is set without it.
-	groupRun *groupedTasks
 }
 
 // NumRows returns the number of query rows (>= 1; the zero value of Rows
@@ -117,59 +101,13 @@ func (b *AttendBatch) Width() int {
 
 // Run schedules one task per (row, head) pair on the batch's executor; the
 // work-stealing pool spreads rows×heads over its slots, so wide multi-row
-// batches keep every core busy even on few-head models. When Groups is set,
-// scheduling switches to group×head super-tasks so rows sharing cache state
-// never race (see Groups).
+// batches keep every core busy even on few-head models.
 func (b *AttendBatch) Run(tasks exec.Tasks) {
-	if b.Groups != nil {
-		gr := b.groupRun
-		if gr == nil {
-			//topick:alloc-ok grouped verify path only; nil-Groups decode batches never reach this
-			gr = &groupedTasks{}
-		}
-		// Copy the fields rather than retaining b: storing the batch pointer
-		// would make every by-value AttendBatch parameter escape to the heap,
-		// breaking the zero-alloc decode path even when Groups is nil.
-		gr.groups = b.Groups
-		gr.heads = b.Heads
-		gr.inner = tasks
-		n := len(b.Groups) * b.Heads
-		if b.Exec == nil {
-			exec.Serial{}.Run(n, gr)
-		} else {
-			b.Exec.Run(n, gr)
-		}
-		gr.inner = nil
-		gr.groups = nil
-		return
-	}
 	if b.Exec == nil {
 		exec.Serial{}.Run(b.NumTasks(), tasks)
 		return
 	}
 	b.Exec.Run(b.NumTasks(), tasks)
-}
-
-// groupedTasks adapts a kernel's per-(row, head) tasks to group×head
-// super-tasks: super-task t covers group t/heads, head t%heads, and runs that
-// group's rows in ascending order on one slot — the serialization that keeps
-// rows sharing a cache side-car race-free.
-type groupedTasks struct {
-	groups []int
-	heads  int
-	inner  exec.Tasks
-}
-
-// Do implements exec.Tasks.
-func (g *groupedTasks) Do(t, slot int) {
-	grp, head := t/g.heads, t%g.heads
-	row := 0
-	for i := 0; i < grp; i++ {
-		row += g.groups[i]
-	}
-	for i := 0; i < g.groups[grp]; i++ {
-		g.inner.Do((row+i)*g.heads+head, slot)
-	}
 }
 
 // Kernel computes one layer's attention for a batch of query rows.
@@ -238,33 +176,13 @@ func (k *ExactKernel) AttendLayer(batch AttendBatch) {
 	batch.Run(&k.runner)
 }
 
-// growScratch returns scratch with at least n elements, padding capacity to
-// the next power of two (min 64) so a context growing one row per decode
-// step reallocates O(log n) times instead of every step — the batched
-// steady-state alloc guard counts on this.
-//
-//topick:alloc-ok amortized power-of-two growth; steady-state calls reuse capacity
-func growScratch(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	c := cap(buf)
-	if c < 64 {
-		c = 64
-	}
-	for c < n {
-		c *= 2
-	}
-	return make([]float32, c)[:n]
-}
-
 func (k *ExactKernel) attendTask(b *AttendBatch, t, slot int) {
 	s := &k.slots[slot]
 	n := b.TaskN(t)
-	s.scores = growScratch(s.scores, n)
-	s.probs = growScratch(s.probs, n)
-	scores := s.scores[:n]
-	probs := s.probs[:n]
+	s.scores = tensor.Grow(s.scores, n)
+	s.probs = tensor.Grow(s.probs, n)
+	scores := s.scores
+	probs := s.probs
 	q, out := b.TaskQ(t), b.TaskOut(t)
 	keys, vals := b.Keys[t], b.Vals[t]
 	slope := b.TaskSlope(t)
@@ -308,10 +226,11 @@ type KVCache interface {
 	EnsureLen(n int) error
 	// Truncate drops rows [n, ...) but keeps the cache usable: Truncate(0)
 	// clears the cache for a new sequence (pooled implementations return all
-	// their blocks), a partial truncate rolls the sequence back to n rows
-	// (speculative-decoding rejection), releasing whole trailing blocks and
-	// keeping the quantized side-car's incremental invariants intact. Rows
-	// [0, n) must remain exactly as written.
+	// their blocks), a partial truncate rewinds the sequence to a shared
+	// prefix of n rows (a reference decoder returning to a common system
+	// prompt), releasing whole trailing blocks and keeping the quantized
+	// side-car's incremental invariants intact. Rows [0, n) must remain
+	// exactly as written.
 	Truncate(n int)
 	// Release returns all storage; the cache must not be used afterwards.
 	Release()
@@ -489,10 +408,12 @@ func NewDecoderWith(p *Params, kernel Kernel, prov CacheProvider) *Decoder {
 func (dec *Decoder) Reset() { dec.Rollback(0) }
 
 // Rollback truncates the consumed sequence to n tokens, discarding the KV
-// rows (and quantized side-car state) of everything after: the speculative
-// decoder calls this to drop draft positions past the accepted prefix. Rows
-// [0, n) stay bit-identical, so re-stepping the same tokens reproduces the
-// exact non-speculative state. It panics when n exceeds the consumed length.
+// rows (and quantized side-car state) of everything after: a decoder that
+// serves many continuations of one shared prefix (say, a system prompt)
+// rewinds to it instead of re-consuming it. Rows [0, n) stay bit-identical,
+// so stepping a continuation after Rollback produces exactly what a fresh
+// decoder fed the prefix and that continuation would. It panics when n
+// exceeds the consumed length.
 func (dec *Decoder) Rollback(n int) {
 	if n < 0 || n > dec.n {
 		panic(fmt.Sprintf("model: Rollback(%d) outside consumed length %d", n, dec.n))

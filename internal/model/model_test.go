@@ -201,3 +201,54 @@ func TestScoresHelper(t *testing.T) {
 		t.Fatalf("ALiBi bias not monotone: %v", s)
 	}
 }
+
+// TestDecoderRollbackRebuildsState pins the Rollback contract on dense
+// caches: truncating to n and re-stepping must produce logits bit-identical
+// to a fresh decoder that never overshot, and out-of-range rollbacks panic.
+func TestDecoderRollbackRebuildsState(t *testing.T) {
+	cfg := TestConfig()
+	p := NewParams(cfg, 41)
+	tokens := func(seed, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = (seed*31 + i*13) % cfg.VocabSize
+		}
+		return out
+	}
+	prompt := tokens(9, 14)
+
+	dec := NewDecoder(p, nil)
+	dec.MustPrompt(prompt)
+	n0 := dec.Len()
+	// Overshoot with garbage the rollback must fully erase.
+	for i := 0; i < 5; i++ {
+		dec.MustStep((i * 7) % cfg.VocabSize)
+	}
+	dec.Rollback(n0)
+	if dec.Len() != n0 {
+		t.Fatalf("Len %d after rollback, want %d", dec.Len(), n0)
+	}
+
+	ref := NewDecoder(p, nil)
+	ref.MustPrompt(prompt)
+	for _, tok := range tokens(2, 6) {
+		got := dec.MustStep(tok)
+		want := ref.MustStep(tok)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("logit %d after rollback diverged: %g != %g", j, got[j], want[j])
+			}
+		}
+	}
+
+	// Rollback(Len()) is a no-op; out-of-range panics.
+	dec.Rollback(dec.Len())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Rollback past Len did not panic")
+			}
+		}()
+		dec.Rollback(dec.Len() + 1)
+	}()
+}

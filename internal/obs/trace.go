@@ -42,15 +42,6 @@ const (
 	// emitted, Tokens = cumulative prefix rows adopted, Rows = prompt tokens
 	// consumed).
 	KindFinish
-	// KindDraftStep: a speculative pass drafted tokens (Step = tokens
-	// emitted so far, Tokens = draft tokens proposed, Rows = context rows
-	// before the verify pass). Appended after KindFinish to keep earlier
-	// trace recordings replayable.
-	KindDraftStep
-	// KindVerifyStep: a speculative verify pass completed (Step = tokens
-	// emitted after the pass, Tokens = draft tokens accepted, Rows = context
-	// rows after rollback).
-	KindVerifyStep
 )
 
 // Preempt Detail codes.
@@ -76,8 +67,6 @@ var kindNames = [...]string{
 	KindPark:         "park",
 	KindResume:       "resume",
 	KindFinish:       "finish",
-	KindDraftStep:    "draft_step",
-	KindVerifyStep:   "verify_step",
 }
 
 // String returns the wire name of the kind.

@@ -23,8 +23,10 @@ import (
 // /metrics, /readyz, and /v1/trace endpoints, and the Report.Exec field.
 // Version 4 added fleet serving: the aggregated per-replica /v1/stats shape,
 // the /v1/replicas/{id}/... endpoints, X-Request-ID echo, and the "rid"
-// trace field (trace schema 2).
-const APIVersion = 4
+// trace field (trace schema 2). Version 5 removed speculative decoding: the
+// drafted_tokens and accepted_draft_tokens usage fields and the draft_step
+// and verify_step trace kinds are gone.
+const APIVersion = 5
 
 // ErrInvalidRequest is the sentinel every *ValidationError matches with
 // errors.Is; transports map it to a 400-class failure.
@@ -158,15 +160,6 @@ type Usage struct {
 	// RecomputeTokens counts generated tokens re-consumed during preemption
 	// replay: work redone, nothing re-emitted.
 	RecomputeTokens int
-	// DraftedTokens counts draft tokens submitted for speculative
-	// verification on this session's behalf (0 unless Config.Speculate.K
-	// > 0). AcceptedDraftTokens of them were reproduced by the session's
-	// sampler and kept; the rest were rolled back. Speculation changes
-	// neither GeneratedTokens nor the emitted stream — only how many engine
-	// passes produced it.
-	DraftedTokens int
-	// AcceptedDraftTokens counts drafted tokens that were accepted.
-	AcceptedDraftTokens int
 }
 
 // TotalTokens sums prompt and generated tokens, the usual billing figure.

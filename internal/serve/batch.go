@@ -105,23 +105,6 @@ func (r *batchRunner) iterate(batch []*session) {
 				Dec:    sess.dec,
 				Tokens: sess.gen()[sess.replayPos : sess.replayPos+1],
 			})
-		} else if sess.spec != nil {
-			// Speculative verify entry: the pending token plus up to k drafts
-			// advance together; acceptance and rollback happen after the step.
-			// The emitter is armed here because FinishEntry needs the
-			// pre-entry length and drafting must happen exactly once per pass.
-			n0 := sess.dec.Len()
-			toks := sess.spec.BeginEntry(sess.penCtx, sess.maxTokens-sess.generated-1)
-			if m := len(toks) - 1; m > 0 {
-				s.trace(sess, obs.KindDraftStep, int32(sess.generated), int32(m), int32(n0), 0)
-			}
-			sess.specEmit = specEmitter{s: s, sess: sess, rows: n0}
-			r.entries = append(r.entries, model.BatchEntry{
-				Dec:        sess.dec,
-				Tokens:     toks,
-				NeedLogits: true,
-				Verify:     true,
-			})
 		} else {
 			// penCtx's tail is sess.next: the pending token advance queued.
 			r.entries = append(r.entries, model.BatchEntry{
@@ -219,20 +202,6 @@ func (r *batchRunner) iterate(batch []*session) {
 			replayed++
 			s.met.Recomputed.AddSlot(0, 1)
 			s.trace(sess, obs.KindReplayStep, int32(sess.generated), 0, int32(sess.dec.Len()), 0)
-			s.sched.push(sess)
-			continue
-		}
-		if ent.Verify {
-			// Speculative pass: apply the acceptance rule, roll back, and
-			// route the deferred terminal condition through finish — after
-			// rollback, exactly like the worker path.
-			res := sess.spec.FinishEntry(ent, &sess.specEmit)
-			s.finishSpecPass(sess, res)
-			stepped += int64(res.Emitted)
-			if sess.specEmit.done {
-				s.finish(sess, sess.specEmit.res)
-				continue
-			}
 			s.sched.push(sess)
 			continue
 		}

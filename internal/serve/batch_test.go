@@ -90,9 +90,11 @@ func TestIterationBatchingBitExact(t *testing.T) {
 					t.Fatal("second-wave session adopted no prefix rows under batching")
 				}
 
+				// Report after Close: a stream finishes inside its last
+				// iteration, before that iteration publishes its counters.
 				met := srv.Metrics()
-				rep := srv.Report()
 				srv.Close()
+				rep := srv.Report()
 
 				for i, p := range prompts {
 					var k model.Kernel
@@ -276,8 +278,8 @@ func TestIterationBatchingSchedulerFairness(t *testing.T) {
 	}
 	wg.Wait()
 	met := srv.Metrics()
-	rep := srv.Report()
 	srv.Close()
+	rep := srv.Report()
 
 	// No session starves: everything finishes with its full budget, and the
 	// queue-wait digest stays bounded (a starved session would park its

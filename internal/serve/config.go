@@ -42,8 +42,5 @@ func (c Config) Validate() error {
 	if c.MaxBatchTokens < 0 {
 		return &ConfigError{Field: "MaxBatchTokens", Reason: "must not be negative (0 disables iteration batching)"}
 	}
-	if c.Speculate.K < 0 {
-		return &ConfigError{Field: "Speculate.K", Reason: "must not be negative (0 disables speculative decoding)"}
-	}
 	return nil
 }

@@ -345,6 +345,9 @@ func (c *pagedCache) markShared(nblocks int) {
 	}
 }
 
+// Truncate implements model.KVCache: Truncate(0) returns every block, a
+// partial truncate rewinds the cache to a shared prefix of n rows (a decoder
+// returning to a common system prompt) and returns only the blocks past it.
 func (c *pagedCache) Truncate(n int) {
 	if n <= 0 {
 		c.pool.releaseAll(c.blocks)

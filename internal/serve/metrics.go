@@ -62,18 +62,6 @@ type Metrics struct {
 	BatchPrefillRows *obs.Counter   // prefill rows across iterations
 	BatchRows        *obs.Histogram // rows per iteration (occupancy)
 	BatchIteration   *obs.Histogram // wall seconds per batched iteration
-
-	// Speculative-decoding counters, fed only when Config.Speculate.K > 0.
-	// Drafted == Accepted + RolledBack always, and the per-session split
-	// reconciles exactly with Usage.{DraftedTokens, AcceptedDraftTokens}
-	// summed over finished sessions (drafts are only counted on verify
-	// passes that completed — a pass killed by storage pressure books
-	// nothing).
-	SpecDrafted    *obs.Counter   // draft tokens submitted for verification
-	SpecAccepted   *obs.Counter   // drafts the sampler reproduced (kept)
-	SpecRolledBack *obs.Counter   // drafts rejected (KV rows truncated)
-	SpecVerifies   *obs.Counter   // verify passes completed
-	SpecAcceptRate *obs.Histogram // per-pass acceptance rate (drafting passes only)
 }
 
 // finishReasons is the fixed label set of the finished-sessions family.
@@ -126,13 +114,6 @@ func newMetrics(s *Server) *Metrics {
 		BatchRows: reg.Histogram("topick_batch_rows", "Token rows per batched iteration (batch occupancy).",
 			"", []float64{1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256}),
 		BatchIteration: reg.Histogram("topick_batch_iteration_seconds", "Wall time of one batched iteration.", "", nil),
-
-		SpecDrafted:    reg.Counter("topick_spec_drafted_tokens_total", "Draft tokens submitted for speculative verification.", ""),
-		SpecAccepted:   reg.Counter("topick_spec_accepted_tokens_total", "Draft tokens the session sampler reproduced and kept.", ""),
-		SpecRolledBack: reg.Counter("topick_spec_rolled_back_tokens_total", "Draft tokens rejected and truncated from the KV caches.", ""),
-		SpecVerifies:   reg.Counter("topick_spec_verify_passes_total", "Speculative verify passes completed.", ""),
-		SpecAcceptRate: reg.Histogram("topick_spec_acceptance_rate", "Per-pass draft acceptance rate (passes that drafted at least one token).",
-			"", []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}),
 	}
 	for _, r := range finishReasons {
 		m.Finished[r] = reg.Counter("topick_sessions_finished_total",

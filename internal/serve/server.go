@@ -152,25 +152,6 @@ type Config struct {
 	// instance per generation). Kernels exposing Stats/ResetStats feed
 	// the fleet-wide transfer report.
 	NewKernel func() model.Kernel
-	// Speculate enables speculative decoding (Speculate.K > 0): each
-	// generation step becomes a draft-and-verify pass that can emit several
-	// tokens per model sweep. Composes with both dispatch modes, prefix
-	// sharing, and the preemption ladder; emitted tokens are bit-identical
-	// to non-speculative decoding for greedy and seeded sampling alike.
-	Speculate SpeculateConfig
-}
-
-// SpeculateConfig configures draft-and-verify speculative decoding.
-type SpeculateConfig struct {
-	// K is the maximum draft tokens verified per pass (the adaptive window's
-	// ceiling; per-session k walks [1, K] with recent acceptance). 0 disables
-	// speculation; negative is rejected by Validate.
-	K int
-	// NewDraft builds one draft source per session; nil means the model-free
-	// prompt-lookup n-gram draft (model.NgramDraft). A model.DecoderDraft
-	// over a cheap estimator kernel plugs in here. Each source is owned by
-	// exactly one session, so it may carry mutable state.
-	NewDraft func() model.DraftSource
 }
 
 // defaultBlockRows is the KV pool block granularity when Config.BlockRows is
@@ -264,15 +245,6 @@ type session struct {
 	replayPos int
 	replayEnd int
 	preempts  int // times this session has been preempted
-
-	// Speculative decoding (Config.Speculate.K > 0): spec drives the
-	// session's draft-and-verify passes; specEmit is the reusable emitter
-	// one pass borrows (a value field so the steady-state pass allocates
-	// nothing). drafted/acceptedDrafts accumulate into Usage.
-	spec           *model.SpecDecoder
-	specEmit       specEmitter
-	drafted        int
-	acceptedDrafts int
 }
 
 // gen returns the emitted-token tail of the session history.
@@ -323,7 +295,7 @@ type Report struct {
 	Admitted       int64
 	Finished       map[FinishReason]int64
 	PromptTokens   int64 // prompt tokens actually prefilled (adopted rows excluded)
-	GenTokens      int64
+	GenTokens      int64 // decode steps: one fewer than a session's emitted tokens, whose first comes from prefill (Metrics().Generated counts emissions)
 	PeakConcurrent int
 	// Preempted counts preemption events; RecomputeTokens counts the
 	// generated tokens preempted sessions re-consumed while catching up.
@@ -554,15 +526,6 @@ func (s *Server) Submit(ctx context.Context, req GenerateRequest) (*Stream, erro
 		penCtx:    append(make([]int, 0, len(req.Prompt)+buf), req.Prompt...),
 	}
 	sess.stream = &Stream{events: events, done: make(chan struct{}), cancel: cancel}
-	if s.cfg.Speculate.K > 0 {
-		var draft model.DraftSource
-		if s.cfg.Speculate.NewDraft != nil {
-			draft = s.cfg.Speculate.NewDraft()
-		} else {
-			draft = &model.NgramDraft{}
-		}
-		sess.spec = model.NewSpecDecoder(sess.dec, draft, s.cfg.Speculate.K)
-	}
 	s.trace(sess, obs.KindSubmit, 0, 0, 0, 0)
 	if s.prefixes != nil {
 		s.adoptPrefix(sess, true)
@@ -652,19 +615,12 @@ func (s *Server) worker(wid int) {
 		kernel = s.cfg.NewKernel()
 	}
 	ex := s.execs[wid]
-	// Speculative verify passes run k+1 rows of one session through a
-	// multi-row engine step; the engine is this worker's alone, like its
-	// kernel.
-	var eng *model.BatchEngine
-	if s.cfg.Speculate.K > 0 {
-		eng = model.NewBatchEngine(s.params)
-	}
 	for {
 		sess, ok := s.sched.pop()
 		if !ok {
 			return
 		}
-		done := s.dispatch(sess, kernel, ex, wid, eng)
+		done := s.dispatch(sess, kernel, ex, wid)
 		if sk, ok := kernel.(statKernel); ok {
 			delta := sk.Stats()
 			sk.ResetStats()
@@ -680,10 +636,9 @@ func (s *Server) worker(wid int) {
 }
 
 // dispatch advances one session by a single quantum: a prompt chunk while
-// the prompt is unconsumed, then Quantum generation steps (each step a
-// draft-and-verify pass when speculation is on — it may emit several
-// tokens). It reports whether the session finished.
-func (s *Server) dispatch(sess *session, kernel model.Kernel, ex exec.Executor, wid int, eng *model.BatchEngine) bool {
+// the prompt is unconsumed, then Quantum generation steps. It reports
+// whether the session finished.
+func (s *Server) dispatch(sess *session, kernel model.Kernel, ex exec.Executor, wid int) bool {
 	if sess.parked {
 		// Promoted off the stalled list: record the resume before anything
 		// else can happen to the session (cancellation included), so every
@@ -740,17 +695,6 @@ func (s *Server) dispatch(sess *session, kernel model.Kernel, ex exec.Executor, 
 			s.trace(sess, obs.KindReplayStep, int32(sess.generated), 0, int32(sess.dec.Len()), 0)
 			continue
 		}
-		if sess.spec != nil {
-			emitted, done, err := s.speculate(sess, kernel, ex, wid, eng)
-			if err != nil {
-				return s.storageErr(sess, err)
-			}
-			stepped += emitted
-			if done {
-				return true
-			}
-			continue
-		}
 		start := time.Now()
 		logits, err := sess.dec.Step(sess.next)
 		if err != nil {
@@ -766,82 +710,6 @@ func (s *Server) dispatch(sess *session, kernel model.Kernel, ex exec.Executor, 
 		}
 	}
 	return false
-}
-
-// speculate runs one draft-and-verify pass for sess on a worker's private
-// engine: draft up to the session's adaptive window behind the pending
-// token, advance all positions in one multi-row engine step, then emit the
-// accepted prefix (plus the correction or bonus token) and roll the KV state
-// back to the accepted length. On a storage error nothing was consumed and
-// no RNG was drawn, so the ladder can retry the pass. It returns the tokens
-// emitted and whether the session finished (the deferred finish runs here,
-// after rollback — never inside the emitter, because finish releases the KV
-// caches the rollback still touches).
-func (s *Server) speculate(sess *session, kernel model.Kernel, ex exec.Executor, wid int, eng *model.BatchEngine) (emitted int, done bool, err error) {
-	n0 := sess.dec.Len()
-	toks := sess.spec.BeginEntry(sess.penCtx, sess.maxTokens-sess.generated-1)
-	if m := len(toks) - 1; m > 0 {
-		s.trace(sess, obs.KindDraftStep, int32(sess.generated), int32(m), int32(n0), 0)
-	}
-	entries := sess.spec.Entries(toks)
-	start := time.Now()
-	eng.Step(entries, kernel, ex)
-	if err := entries[0].Err; err != nil {
-		return 0, false, err
-	}
-	s.met.DecodeStep.Observe(time.Since(start).Seconds())
-	sess.specEmit = specEmitter{s: s, sess: sess, wid: wid, rows: n0}
-	res := sess.spec.FinishEntry(&entries[0], &sess.specEmit)
-	s.finishSpecPass(sess, res)
-	if sess.specEmit.done {
-		s.finish(sess, sess.specEmit.res)
-		return res.Emitted, true, nil
-	}
-	return res.Emitted, false, nil
-}
-
-// finishSpecPass records the accounting shared by both dispatch modes after
-// a verify pass: spec metrics, the session's Usage tallies, and the
-// verify_step trace (Tokens = accepted drafts, Rows = post-rollback length).
-func (s *Server) finishSpecPass(sess *session, res model.SpecResult) {
-	sess.drafted += res.Drafted
-	sess.acceptedDrafts += res.Accepted
-	s.met.SpecVerifies.Inc()
-	if res.Drafted > 0 {
-		s.met.SpecDrafted.Add(int64(res.Drafted))
-		s.met.SpecAccepted.Add(int64(res.Accepted))
-		s.met.SpecRolledBack.Add(int64(res.Drafted - res.Accepted))
-		s.met.SpecAcceptRate.Observe(float64(res.Accepted) / float64(res.Drafted))
-	}
-	s.trace(sess, obs.KindVerifyStep, int32(sess.generated), int32(res.Accepted), int32(sess.dec.Len()), 0)
-}
-
-// specEmitter adapts the engine's per-token emission to model.Emitter for
-// one verify pass. It samples each verified position from its TRUE logits
-// with the session's own sampler (consuming RNG exactly as a plain decode
-// step would) and emits through the shared emitToken path — but a terminal
-// condition is only RECORDED (done/res), never acted on: finish releases
-// the session's KV caches, and the pass still has to roll them back.
-type specEmitter struct {
-	s    *Server
-	sess *session
-	wid  int
-	rows int // context rows attended by the next emission's position
-	done bool
-	res  Result
-}
-
-// Emit implements model.Emitter.
-func (e *specEmitter) Emit(logits []float32) (int, bool) {
-	s, sess := e.s, e.sess
-	tok := sess.sampler.Sample(logits, sess.penCtx)
-	e.rows++
-	s.trace(sess, obs.KindDecodeStep, int32(sess.generated+1), 1, int32(e.rows), 0)
-	done, res := s.emitToken(sess, tok, e.wid)
-	if done {
-		e.done, e.res = true, res
-	}
-	return tok, done
 }
 
 // prefill consumes one prompt chunk with exact attention; on the last chunk
@@ -987,19 +855,6 @@ func (s *Server) preempt(sess *session) {
 // or length budget spent).
 func (s *Server) advance(sess *session, logits []float32, wid int) bool {
 	tok := sess.sampler.Sample(logits, sess.penCtx)
-	done, res := s.emitToken(sess, tok, wid)
-	if done {
-		s.finish(sess, res)
-	}
-	return done
-}
-
-// emitToken emits an already-sampled token: timing metrics, the stream
-// Event, session bookkeeping, and terminal-condition detection. It reports
-// whether generation must end and with what Result, but does NOT finish the
-// session — the speculative path must roll the KV caches back before finish
-// releases them, so acting on the result is the caller's job.
-func (s *Server) emitToken(sess *session, tok, wid int) (bool, Result) {
 	now := time.Now()
 	if sess.generated == 0 {
 		sess.firstTok = now
@@ -1020,12 +875,14 @@ func (s *Server) emitToken(sess *session, tok, wid int) (bool, Result) {
 	// Stop sequences win over the length budget when one token satisfies
 	// both: the consumer learns why generation really ended.
 	if idx, seq := matchStop(sess.req.Stop, sess.gen()); idx >= 0 {
-		return true, Result{Reason: ReasonStop, StopSeq: idx, StopTokens: seq}
+		s.finish(sess, Result{Reason: ReasonStop, StopSeq: idx, StopTokens: seq})
+		return true
 	}
 	if sess.generated >= sess.maxTokens {
-		return true, Result{Reason: ReasonLength}
+		s.finish(sess, Result{Reason: ReasonLength})
+		return true
 	}
-	return false, Result{}
+	return false
 }
 
 // finishErr maps decoder/pool errors to a terminal reason.
@@ -1042,12 +899,10 @@ func (s *Server) finishErr(sess *session, err error) {
 // outcome and its usage accounting, and wakes the stream's consumer.
 func (s *Server) finish(sess *session, res Result) {
 	res.Usage = Usage{
-		PromptTokens:        sess.promptPos,
-		GeneratedTokens:     sess.generated,
-		PrefixHitRows:       sess.adoptedAll,
-		RecomputeTokens:     sess.recomputed,
-		DraftedTokens:       sess.drafted,
-		AcceptedDraftTokens: sess.acceptedDrafts,
+		PromptTokens:    sess.promptPos,
+		GeneratedTokens: sess.generated,
+		PrefixHitRows:   sess.adoptedAll,
+		RecomputeTokens: sess.recomputed,
 	}
 	if res.Reason != ReasonStop {
 		res.StopSeq = -1
@@ -1226,10 +1081,6 @@ func (sc *scheduler) popBatch(dst []*session, budget, chunk int) []*session {
 			if cost > chunk {
 				cost = chunk
 			}
-		} else if sess.spec != nil && sess.replayPos >= sess.replayEnd {
-			// A speculating decode session submits a verify entry of up to
-			// 1+k rows, so it bids its full window against the token budget.
-			cost = 1 + sess.spec.CurK()
 		}
 		if len(dst) > 0 && spent+cost > budget {
 			break

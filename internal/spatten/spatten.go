@@ -223,10 +223,10 @@ func (k *Kernel) attendHead(b *model.AttendBatch, h, slot int) {
 	slope := b.Slopes[h]
 	act := k.active[b.Layer]
 
-	if cap(hs.scores) < len(act) {
-		hs.scores = make([]float32, len(act)*2)
-		hs.probs = make([]float32, len(act)*2)
-	}
+	// Sized by the context, not the active set, so the buffers regrow at
+	// the same row counts as every other context-sized scratch.
+	hs.scores = tensor.Grow(hs.scores, n)
+	hs.probs = tensor.Grow(hs.probs, n)
 	scores := hs.scores[:len(act)]
 	probs := hs.probs[:len(act)]
 
@@ -293,7 +293,7 @@ func (k *Kernel) rebuildActive(layer, n int) {
 	if target < k.cfg.MinKeep {
 		target = k.cfg.MinKeep
 	}
-	act := k.active[layer][:0]
+	act := tensor.Grow(k.active[layer], n)[:0]
 	if target >= n {
 		for i := 0; i < n; i++ {
 			act = append(act, i)
@@ -301,18 +301,14 @@ func (k *Kernel) rebuildActive(layer, n int) {
 		k.active[layer] = act
 		return
 	}
-	if cap(k.rank) < n {
-		k.rank = make([]int, n)
-	}
-	rank := k.rank[:n]
+	k.rank = tensor.Grow(k.rank, n)
+	rank := k.rank
 	for i := range rank {
 		rank[i] = i
 	}
 	k.selectTop(rank, target, n-1)
-	if cap(k.mark) < n {
-		k.mark = make([]bool, n)
-	}
-	mark := k.mark[:n]
+	k.mark = tensor.Grow(k.mark, n)
+	mark := k.mark
 	for i := range mark {
 		mark[i] = false
 	}

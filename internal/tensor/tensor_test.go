@@ -234,3 +234,28 @@ func TestRowSetAtClone(t *testing.T) {
 		t.Fatal("Zero failed")
 	}
 }
+
+func TestGrowPowerOfTwo(t *testing.T) {
+	var buf []int8
+	reallocs := 0
+	for n := 1; n <= 5000; n++ {
+		before := cap(buf)
+		buf = Grow(buf, n)
+		if len(buf) != n {
+			t.Fatalf("len %d, want %d", len(buf), n)
+		}
+		if cap(buf) != before {
+			reallocs++
+			if c := cap(buf); c < 64 || c&(c-1) != 0 {
+				t.Fatalf("capacity %d is not a power of two >= 64", c)
+			}
+		}
+	}
+	// 64, 128, ..., 8192: one reallocation per doubling, not per step.
+	if reallocs != 8 {
+		t.Fatalf("%d reallocations growing to 5000, want 8", reallocs)
+	}
+	if got := Grow(buf, 3); len(got) != 3 || &got[0] != &buf[0] {
+		t.Fatal("shrinking must reuse storage")
+	}
+}

@@ -176,24 +176,6 @@ type (
 	KVCache = model.KVCache
 	// CacheProvider allocates KV caches for a decoder session.
 	CacheProvider = model.CacheProvider
-	// SpeculateConfig turns on speculative decoding in the serving engine
-	// (ServeConfig.Speculate): drafts are verified in one batched engine
-	// pass and the emitted stream stays bit-identical to plain decoding.
-	SpeculateConfig = serve.SpeculateConfig
-	// DraftSource proposes draft tokens for speculative decoding.
-	DraftSource = model.DraftSource
-	// NgramDraft is the model-free prompt-lookup draft source (default).
-	NgramDraft = model.NgramDraft
-	// DecoderDraft drafts with a separate cheap decoder (e.g. the
-	// Token-Picker estimator kernel) that the verify loop keeps in sync by
-	// longest-common-prefix rollback.
-	DecoderDraft = model.DecoderDraft
-	// SpecDecoder drives standalone draft-and-verify generation over one
-	// Decoder; the serving engine embeds one per session when
-	// ServeConfig.Speculate.K > 0.
-	SpecDecoder = model.SpecDecoder
-	// SpecStats is the accumulated verify-pass accounting of a SpecDecoder.
-	SpecStats = model.SpecStats
 )
 
 // Session finish reasons.
@@ -390,22 +372,6 @@ func ResolveParallel(flag int) int { return exec.ResolveWidth(flag) }
 // provider (e.g. a KVPool's Provider); nil means on-demand dense buffers.
 func NewDecoderWith(p *Params, k Kernel, prov CacheProvider) *Decoder {
 	return model.NewDecoderWith(p, k, prov)
-}
-
-// BatchEngine advances several decoder sessions (or the several rows of a
-// speculative verify entry) through the transformer in one fused pass.
-type BatchEngine = model.BatchEngine
-
-// NewBatchEngine builds a batch engine over shared params; SpecDecoder.Step
-// drives it for standalone speculative generation.
-func NewBatchEngine(p *Params) *BatchEngine { return model.NewBatchEngine(p) }
-
-// NewSpecDecoder builds a speculative decoder over dec with draft window
-// maxK: draft may be nil (every pass degenerates to a plain decode step) or
-// an NgramDraft/DecoderDraft. Emitted tokens are bit-identical to plain
-// decoding for any deterministic sampler fed the same logits.
-func NewSpecDecoder(dec *Decoder, draft DraftSource, maxK int) *SpecDecoder {
-	return model.NewSpecDecoder(dec, draft, maxK)
 }
 
 // NewServer starts the continuous-batching engine over trained params.
